@@ -738,8 +738,23 @@ impl<'a, G: Game + Sync + ?Sized> Dynamics<'a, G> {
     /// selected mover follows the configured policy and tie-break exactly as
     /// in the sequential scan (the RNG stream differs, so trajectories are
     /// reproducible per `(seed, threads)` but not across scan modes).
+    ///
+    /// The scan is traced on the calling thread like the sequential one: one
+    /// `Scan` span, every agent counted as scanned, and one improving move
+    /// when a mover is found (the workers' own recorders are never
+    /// harvested).
     pub fn step_parallel<R: Rng>(&mut self, rng: &mut R, threads: usize) -> Option<MoveRecord> {
-        let mover = self.select_mover_parallel(rng, threads)?;
+        let mover = {
+            let _sp = trace::span(trace::Phase::Scan);
+            let mover = self.select_mover_parallel(rng, threads);
+            let scanned = self.graph.num_nodes() as u64;
+            trace::add(trace::Counter::AgentsScanned, scanned);
+            trace::record(trace::HistId::ScanWidth, scanned);
+            if mover.is_some() {
+                trace::add(trace::Counter::ImprovingMoves, 1);
+            }
+            mover?
+        };
         self.step_with_agent(mover, rng)
     }
 
@@ -1113,6 +1128,37 @@ mod tests {
             dynamics.graph(),
             &mut ws
         ));
+    }
+
+    #[test]
+    fn traced_parallel_scan_counts_one_improving_move_per_step() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let n = 16;
+        let g = generators::random_with_m_edges(n, 2 * n, &mut rng);
+        let game = GreedyBuyGame::sum(n as f64 / 4.0);
+        let cfg = DynamicsConfig::simulation(400 * n).with_oracle(OracleKind::Persistent);
+        let mut dynamics = Dynamics::new(&game, g, cfg);
+        let _ = trace::take_report();
+        trace::set_enabled(true);
+        let mut steps = 0u64;
+        while dynamics.step_parallel(&mut rng, 2).is_some() {
+            steps += 1;
+        }
+        trace::set_enabled(false);
+        let report = trace::take_report();
+        assert!(steps > 0);
+        assert_eq!(report.counter(trace::Counter::ImprovingMoves), steps);
+        // Every step plus the final (converged) call scans all n agents.
+        assert_eq!(
+            report.counter(trace::Counter::AgentsScanned),
+            (steps + 1) * n as u64
+        );
+        let scan = report
+            .roots
+            .iter()
+            .find(|r| r.phase == trace::Phase::Scan)
+            .expect("the parallel scan opens a Scan span on the caller");
+        assert_eq!(scan.count, steps + 1);
     }
 
     #[test]

@@ -41,10 +41,13 @@ pub enum DeltaScore {
     /// The move applies and this is a **lower bound** on the agent's distance
     /// summary afterwards (sum and max are each `≤` their true values), served
     /// arithmetically from the persistent oracle's per-source caches without
-    /// touching the repair machinery. A candidate whose lower-bound cost is
-    /// already not an improvement is guaranteed non-improving and may be
-    /// skipped; otherwise re-score it with
-    /// [`CostEvaluator::score_exact_last`].
+    /// touching the repair machinery: by the level-count bound
+    /// ([`CostEvaluator::level_bound`], tier 0, `O(eccentricity)`) or by the
+    /// fused insertion kernel ([`CostEvaluator::try_score_bounded`], tier 1,
+    /// `O(n)`). A candidate whose lower-bound cost is already not an
+    /// improvement is guaranteed non-improving and may be skipped; otherwise
+    /// refine it with the next tier, or re-score it exactly with
+    /// [`CostEvaluator::score_exact_last`] (tier 2).
     LowerBound(DistanceSummary),
     /// The move does not apply in the current state (mirrors the moves
     /// rejected by [`crate::moves::apply_move`]); skip it.
@@ -188,45 +191,8 @@ impl CostEvaluator {
         mv: &Move,
         allow_bound: bool,
     ) -> DeltaScore {
-        self.deltas.clear();
-        match *mv {
-            Move::Swap { from, to } => {
-                if !g.has_edge(u, from) || g.has_edge(u, to) || to == u || to >= g.num_nodes() {
-                    return DeltaScore::Inapplicable;
-                }
-                self.deltas.push(EdgeDelta::Remove { u, v: from });
-                self.deltas.push(EdgeDelta::Insert { u, v: to });
-            }
-            Move::Buy { to } => {
-                if to == u || to >= g.num_nodes() || g.has_edge(u, to) {
-                    return DeltaScore::Inapplicable;
-                }
-                self.deltas.push(EdgeDelta::Insert { u, v: to });
-            }
-            Move::Delete { to } => {
-                if !g.owns_edge(u, to) {
-                    return DeltaScore::Inapplicable;
-                }
-                self.deltas.push(EdgeDelta::Remove { u, v: to });
-            }
-            Move::SetOwned { ref new_owned } => {
-                if !strictly_sorted(new_owned) {
-                    return DeltaScore::Unsupported;
-                }
-                if new_owned.iter().any(|&v| v == u || v >= g.num_nodes()) {
-                    return DeltaScore::Inapplicable;
-                }
-                push_set_deltas(g.owned_neighbors(u), new_owned, g, u, &mut self.deltas);
-            }
-            Move::SetNeighbors { ref new_neighbors } => {
-                if !strictly_sorted(new_neighbors) {
-                    return DeltaScore::Unsupported;
-                }
-                if new_neighbors.iter().any(|&v| v == u || v >= g.num_nodes()) {
-                    return DeltaScore::Inapplicable;
-                }
-                push_set_deltas(g.neighbors(u), new_neighbors, g, u, &mut self.deltas);
-            }
+        if let Err(score) = self.buffer_deltas(g, u, mv) {
+            return score;
         }
         // Candidates ending in an insertion incident to the pinned source are
         // first tried against the persistent oracle's cache arithmetic: exact
@@ -250,6 +216,80 @@ impl CostEvaluator {
         let summary = self.oracle.evaluate(&deltas);
         self.deltas = deltas;
         DeltaScore::Summary(summary)
+    }
+
+    /// The cheapest scoring tier: `u`'s distance summary after `mv` bounded
+    /// in `O(eccentricity)` from level counts alone (see
+    /// [`DistanceOracle::insert_level_bound`]) — a
+    /// [`DeltaScore::LowerBound`], or a [`DeltaScore::Summary`] where the
+    /// counts pin the answer down exactly (a swap across a bridge). Covers
+    /// candidates ending in an insertion at `u` on a removal-only prefix —
+    /// buys and swaps — on the persistent backend; `None` for everything
+    /// else, including inapplicable moves, which
+    /// [`CostEvaluator::try_score`] then reports. A candidate whose bound
+    /// cost is not an improvement can be dropped without ever reaching the
+    /// `O(n)` kernel. Leaves the candidate's deltas buffered, like
+    /// `try_score`.
+    pub fn level_bound(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Option<DeltaScore> {
+        self.buffer_deltas(g, u, mv).ok()?;
+        let Some((&EdgeDelta::Insert { u: a, v: b }, prefix)) = self.deltas.split_last() else {
+            return None;
+        };
+        if a != u {
+            return None;
+        }
+        let (summary, exact) = self.oracle.insert_level_bound(g, prefix, a, b)?;
+        Some(if exact {
+            DeltaScore::Summary(summary)
+        } else {
+            DeltaScore::LowerBound(summary)
+        })
+    }
+
+    /// Translates `mv` into its edge-delta sequence in `self.deltas`, or
+    /// reports why it has none.
+    fn buffer_deltas(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Result<(), DeltaScore> {
+        self.deltas.clear();
+        match *mv {
+            Move::Swap { from, to } => {
+                if !g.has_edge(u, from) || g.has_edge(u, to) || to == u || to >= g.num_nodes() {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                self.deltas.push(EdgeDelta::Remove { u, v: from });
+                self.deltas.push(EdgeDelta::Insert { u, v: to });
+            }
+            Move::Buy { to } => {
+                if to == u || to >= g.num_nodes() || g.has_edge(u, to) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                self.deltas.push(EdgeDelta::Insert { u, v: to });
+            }
+            Move::Delete { to } => {
+                if !g.owns_edge(u, to) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                self.deltas.push(EdgeDelta::Remove { u, v: to });
+            }
+            Move::SetOwned { ref new_owned } => {
+                if !strictly_sorted(new_owned) {
+                    return Err(DeltaScore::Unsupported);
+                }
+                if new_owned.iter().any(|&v| v == u || v >= g.num_nodes()) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                push_set_deltas(g.owned_neighbors(u), new_owned, g, u, &mut self.deltas);
+            }
+            Move::SetNeighbors { ref new_neighbors } => {
+                if !strictly_sorted(new_neighbors) {
+                    return Err(DeltaScore::Unsupported);
+                }
+                if new_neighbors.iter().any(|&v| v == u || v >= g.num_nodes()) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                push_set_deltas(g.neighbors(u), new_neighbors, g, u, &mut self.deltas);
+            }
+        }
+        Ok(())
     }
 
     /// Exact summary of the last candidate scored by

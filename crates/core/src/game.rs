@@ -12,6 +12,8 @@ use crate::evaluator::{edge_cost_after, party_edge_cost_after, CostEvaluator, De
 use crate::moves::{apply_move, undo_move, Move};
 use ncg_graph::oracle::{OracleKind, OracleStats};
 use ncg_graph::{BfsBuffer, HostGraph, NodeId, OwnedGraph};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Reusable scratch space for best-response computations.
 ///
@@ -222,10 +224,15 @@ pub trait Game {
     /// All feasible *best-response* moves of agent `u`: the improving moves of
     /// maximal cost decrease. Empty iff the agent is happy.
     ///
-    /// Uses the best-only scan mode: on the delta consent path the expensive
-    /// counterpart checks are deferred and run in ascending-cost order, so a
-    /// scan pays for the blocked candidates *below* the best feasible cost
-    /// and the ties at it — not for every improving candidate.
+    /// Uses the best-only scan mode (`ScanMode::BestOnly`): candidates are
+    /// refined through the scoring tiers (level-count bound, fused kernel,
+    /// exact repair) in ascending-bound order and never scored past the first
+    /// bound above the best cost found; on the delta consent path the
+    /// expensive counterpart checks are deferred and run in ascending-cost
+    /// order. Either way a scan pays for the candidates *below* the best
+    /// feasible cost and the ties at it — not for every improving candidate —
+    /// and returns exactly the moves (in enumeration order) an unpruned scan
+    /// would, so random tie-breaking sees the same list.
     fn best_responses(&self, g: &OwnedGraph, u: NodeId, ws: &mut Workspace) -> Vec<ScoredMove> {
         let mut improving = scan_moves(self, g, u, ws, ScanMode::BestOnly);
         if improving.is_empty() {
@@ -296,11 +303,78 @@ enum ScanMode {
     AllImproving,
     FirstImproving,
     /// Only the minimal-cost feasible improving moves are needed (the caller
-    /// filters to the best anyway): consent checks on the delta path are
-    /// deferred to one ascending-cost pass instead of running per candidate.
-    /// For every other configuration this behaves exactly like
+    /// filters to the best anyway). Without consent, delta-path candidates
+    /// queue by their cheapest lower bound and are refined in ascending-bound
+    /// order (level-count bound → fused kernel → exact repair), stopping at
+    /// the first bound above the best exact cost. Every candidate tied at the
+    /// final best has a bound ≤ it and is scored exactly, so the result holds
+    /// every best-cost move, in enumeration order. With delta consent, the
+    /// consent checks are deferred to one ascending-cost pass instead of
+    /// running per candidate. Off the delta path this behaves exactly like
     /// [`ScanMode::AllImproving`].
     BestOnly,
+}
+
+/// A candidate of the best-only scan awaiting refinement. Kept to 16 bytes:
+/// a scan can queue every one of its candidates.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// Lower bound on the candidate's cost.
+    bound: f64,
+    /// Index into the enumerated candidates.
+    ci: u32,
+    /// `true` when `bound` came from the kernel (tier 1), so only the exact
+    /// repair is left; `false` for a level-count bound (tier 0).
+    kernel_bounded: bool,
+}
+
+impl Pending {
+    fn new(ci: usize, bound: f64, kernel_bounded: bool) -> Self {
+        Pending {
+            bound,
+            ci: u32::try_from(ci).expect("fewer than 2^32 candidates"),
+            kernel_bounded,
+        }
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.ci.cmp(&other.ci))
+    }
+}
+
+/// Candidates sharing a delta prefix share a refinement group: `from + 1`
+/// for a swap dropping `{u, from}`, 0 for everything else.
+fn prefix_group(mv: &Move) -> usize {
+    match *mv {
+        Move::Swap { from, .. } => from + 1,
+        _ => 0,
+    }
+}
+
+/// Splits the pending candidates into their refinement groups, each in
+/// ascending bound (ties in enumeration order), and orders the groups by
+/// their smallest bound.
+fn pending_groups<'a>(pending: &'a mut [Pending], candidates: &[Move]) -> Vec<&'a [Pending]> {
+    let group = |p: &Pending| prefix_group(&candidates[p.ci as usize]);
+    pending.sort_by(|a, b| group(a).cmp(&group(b)).then(a.bound.total_cmp(&b.bound)));
+    let mut groups: Vec<&[Pending]> = pending.chunk_by(|a, b| group(a) == group(b)).collect();
+    groups.sort_by(|a, b| a[0].bound.total_cmp(&b[0].bound));
+    groups
 }
 
 /// Shared candidate-evaluation loop: enumerate candidates, score each from the
@@ -350,12 +424,15 @@ fn scan_moves<G: Game + ?Sized>(
     // deferred to one ascending-cost pass after the scoring loop; the entries
     // of `unchecked` mark which collected moves still owe one.
     let defer_consent = consent_delta && mode == ScanMode::BestOnly;
-    // In best-only mode without consent, lower-bounded candidates are not
-    // re-scored inline either: they queue up in `pending` and are evaluated
-    // in ascending-bound order, stopping once no bound can beat the best
-    // exact cost found (an A*-style cutoff). All-improving scans disable the
-    // bound path entirely — every improving candidate needs an exact score,
-    // so the bound would be a pure detour.
+    // Every delta-path candidate first meets the level-count bound (tier 0,
+    // `O(eccentricity)`): one whose bound cost is not an improvement is
+    // dropped before the `O(n)` kernel. In best-only mode without consent
+    // the survivors — and the kernel-bounded candidates the level bound could
+    // not serve — are not scored inline either: they queue up in `pending`
+    // and are refined in ascending-bound order, stopping once no bound can
+    // beat the best exact cost found (an A*-style cutoff). All-improving
+    // scans skip the kernel's bound path — every improving candidate needs
+    // an exact score, so that bound would be a pure detour.
     let order_by_bound = delta_path && !consent_delta && mode == ScanMode::BestOnly;
     let allow_bound = delta_path && mode != ScanMode::AllImproving;
     let mut scratch_synced = false;
@@ -364,11 +441,26 @@ fn scan_moves<G: Game + ?Sized>(
     // restored after the bound-ordered pass — tie-breaking RNG sees it).
     let mut out_idx: Vec<usize> = Vec::new();
     let mut unchecked: Vec<bool> = Vec::new();
-    let mut pending: Vec<(usize, f64)> = Vec::new();
+    let mut pending: Vec<Pending> = Vec::new();
     for (ci, mv) in candidates.iter().enumerate() {
         let mut deferred = false;
         let new_cost = if delta_path {
-            let score = ws.evaluator.try_score_bounded(g, u, mv, allow_bound);
+            let score = match ws.evaluator.level_bound(g, u, mv) {
+                Some(DeltaScore::LowerBound(lb)) => {
+                    let lb_cost =
+                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
+                    if !is_improvement(old_cost, lb_cost) {
+                        continue;
+                    }
+                    if order_by_bound {
+                        pending.push(Pending::new(ci, lb_cost, false));
+                        continue;
+                    }
+                    ws.evaluator.try_score_bounded(g, u, mv, allow_bound)
+                }
+                Some(exact) => exact,
+                None => ws.evaluator.try_score_bounded(g, u, mv, allow_bound),
+            };
             let summary = match score {
                 DeltaScore::Summary(summary) => Some(summary),
                 DeltaScore::LowerBound(lb) => {
@@ -380,7 +472,7 @@ fn scan_moves<G: Game + ?Sized>(
                         continue;
                     }
                     if order_by_bound {
-                        pending.push((ci, lb_cost));
+                        pending.push(Pending::new(ci, lb_cost, true));
                         continue;
                     }
                     Some(ws.evaluator.score_exact_last())
@@ -430,32 +522,71 @@ fn scan_moves<G: Game + ?Sized>(
         }
     }
     if order_by_bound && !pending.is_empty() {
-        // Ascending-bound exact evaluation with cutoff: once the next bound
-        // exceeds the best exact cost seen, no remaining candidate can beat
-        // (or tie) it — candidates tying the best have bounds ≤ it and were
-        // already evaluated.
-        pending.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are never NaN"));
+        // Ascending-bound refinement with cutoff: once a bound exceeds the
+        // best exact cost seen, that candidate cannot beat (or tie) it. A
+        // candidate tied at the final best has a bound ≤ every best seen on
+        // the way, so every tie is scored exactly and the RNG sees the same
+        // list. Candidates sharing a removal prefix (swaps of one edge) are
+        // refined together, groups in order of their smallest bound, so the
+        // prefix is repaired once per group rather than once per switch.
         let mut best = out.iter().map(|s| s.new_cost).fold(f64::INFINITY, f64::min);
-        for &(ci, lb_cost) in &pending {
-            if lb_cost > best {
+        // Kernel-bounded candidates of the current group waiting for their
+        // exact repair, cheapest bound first.
+        let mut bounded: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+        for run in pending_groups(&mut pending, &candidates) {
+            if run[0].bound > best {
                 break;
             }
-            let mv = &candidates[ci];
-            let DeltaScore::Summary(summary) = ws.evaluator.try_score_bounded(g, u, mv, false)
-            else {
-                debug_assert!(false, "re-scoring a bounded candidate must be exact");
-                continue;
-            };
-            let new_cost =
-                edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&summary);
-            if is_improvement(old_cost, new_cost) {
-                out.push(ScoredMove {
-                    mv: mv.clone(),
-                    old_cost,
-                    new_cost,
-                });
-                out_idx.push(ci);
-                best = best.min(new_cost);
+            bounded.clear();
+            let mut next = 0;
+            loop {
+                // Best-first within the group: the cheaper of the next
+                // level-bounded candidate and the cheapest kernel bound.
+                let p = match (run.get(next), bounded.peek()) {
+                    (Some(a), Some(Reverse(b))) if b < a => bounded.pop().expect("peeked").0,
+                    (Some(&a), _) => {
+                        next += 1;
+                        a
+                    }
+                    (None, Some(_)) => bounded.pop().expect("peeked").0,
+                    (None, None) => break,
+                };
+                if p.bound > best {
+                    break;
+                }
+                let mv = &candidates[p.ci as usize];
+                // Tier 1 (the `O(n)` kernel) for a level-bounded candidate,
+                // tier 2 (the exact repair) for a kernel-bounded one.
+                let summary = match ws.evaluator.try_score_bounded(g, u, mv, !p.kernel_bounded) {
+                    DeltaScore::Summary(summary) => summary,
+                    DeltaScore::LowerBound(lb) => {
+                        let lb_cost =
+                            edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
+                        if is_improvement(old_cost, lb_cost) && lb_cost <= best {
+                            bounded.push(Reverse(Pending {
+                                bound: lb_cost.max(p.bound),
+                                kernel_bounded: true,
+                                ..p
+                            }));
+                        }
+                        continue;
+                    }
+                    DeltaScore::Inapplicable | DeltaScore::Unsupported => {
+                        debug_assert!(false, "a bounded candidate must be scorable");
+                        continue;
+                    }
+                };
+                let new_cost =
+                    edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&summary);
+                if is_improvement(old_cost, new_cost) {
+                    out.push(ScoredMove {
+                        mv: mv.clone(),
+                        old_cost,
+                        new_cost,
+                    });
+                    out_idx.push(p.ci as usize);
+                    best = best.min(new_cost);
+                }
             }
         }
         // Restore candidate-enumeration order for the tie-breaking RNG.

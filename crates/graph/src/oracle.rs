@@ -357,11 +357,18 @@ pub trait DistanceOracle: Send {
     /// * `exact == true` (empty `prefix`) — the summary is the exact
     ///   post-insertion summary, by the single-insertion identity
     ///   `d'(x) = min(d(src, x), 1 + d(v, x))`.
-    /// * `exact == false` (removal-only `prefix`) — the parked vector of `v`
-    ///   predates the removals, which can only *lengthen* `v`'s distances, so
-    ///   the summary is a **lower bound** on the true one: callers may prune
-    ///   candidates whose lower-bound cost is already not an improvement, and
-    ///   must re-score the rest exactly.
+    /// * `exact == true` also for a removal-only prefix whose every removed
+    ///   edge `{u, w}` has `d_v(w) ≤ d_v(u)` on `v`'s parked vector. Shortest
+    ///   paths from `v` only ever cross such an edge from `w` to `u`, so a
+    ///   vertex `x` whose distance from `v` the removals lengthen has
+    ///   `d_v(x) = d_v(u) + d(u, x)` with no shortest `u`–`x` path using a
+    ///   removed edge, and `min(d_u(x), 1 + d_v(x)) = d_u(x)` with the old
+    ///   and the new `d_v` alike.
+    /// * `exact == false` (any other removal-only `prefix`) — the parked
+    ///   vector of `v` predates the removals, which can only *lengthen*
+    ///   `v`'s distances, so the summary is a **lower bound** on the true
+    ///   one: callers may prune candidates whose lower-bound cost is already
+    ///   not an improvement, and must re-score the rest exactly.
     ///
     /// A stale parked vector of `v` does not miss outright: the persistent
     /// backend first tries to *lazily warm* it by replaying `v`'s own journal
@@ -374,6 +381,52 @@ pub trait DistanceOracle: Send {
     /// the pinned version nor lazily warmable to it; `prefix` containing
     /// insertions, which would flip the bound's direction).
     fn evaluate_insert_via_cache(
+        &mut self,
+        _g: &OwnedGraph,
+        _prefix: &[EdgeDelta],
+        _u: NodeId,
+        _v: NodeId,
+    ) -> Option<(DistanceSummary, bool)> {
+        None
+    }
+
+    /// The cheapest scoring tier: a **lower bound** on the pinned source's
+    /// summary after `prefix ++ [Insert {u, v}]`, computed in
+    /// `O(eccentricity)` from per-level vertex counts alone — no `O(n)` pass.
+    /// Returns `(summary, exact)` like
+    /// [`DistanceOracle::evaluate_insert_via_cache`].
+    ///
+    /// With `d_u` the source's distances after the removal-only `prefix`
+    /// (eccentricity `E`, all vertices reached), `δ = d_u(v)` and `cnt_v`
+    /// the level counts of `v`'s parked vector:
+    ///
+    /// * SUM `≥ sum_u − Σ_j cnt_v[j] · max(0, min(E − 1 − j, δ − 1))`: a
+    ///   vertex `x` gains `d_u(x) − 1 − d_v(x)` at most, which the triangle
+    ///   inequality caps at `δ − 1`, and only vertices with `d_v(x) ≤ E − 2`
+    ///   can gain at all. The gain is also bounded without the cap, by
+    ///   pairing the source's farthest levels with `v`'s nearest; the
+    ///   smaller of the two bounds is used;
+    /// * MAX `≥` the largest `k` with `#{d_u ≥ k} > #{d_v ≤ k − 2}`
+    ///   (pigeonhole: some vertex at `d_u ≥ k` is at `d_v ≥ k − 1`), and
+    ///   `≥ E + 1 − δ` (the farthest vertex gains at most `δ − 1`).
+    ///
+    /// Both hold on top of a removal-only prefix because the removals only
+    /// shrink `v`'s balls, so the parked counts over-count every
+    /// `#{d_v ≤ k}` — the direction that keeps the bound sound.
+    ///
+    /// A single removed edge that disconnects the source (a bridge of a
+    /// connected graph) is answered **exactly** (`exact == true`): an
+    /// insertion on the source's side leaves the graph disconnected, and one
+    /// across the bridge reaches the far side only through `v`, whose parked
+    /// distances there are unchanged by the removal, so SUM and MAX follow
+    /// from `v`'s parked sum and level counts minus the source side's.
+    ///
+    /// A stale parked vector of `v` is lazily warmed exactly as in
+    /// [`DistanceOracle::evaluate_insert_via_cache`]. `None` whenever that
+    /// query would return `None`, when `v`'s slot is demoted to the sparse
+    /// representation (no level counts), and when a prefix disconnects the
+    /// source in any other way; callers then take the kernel path.
+    fn insert_level_bound(
         &mut self,
         _g: &OwnedGraph,
         _prefix: &[EdgeDelta],
@@ -1478,6 +1531,12 @@ impl IncrementalOracle {
     /// prefix with the previous evaluation.
     fn run_deltas(&mut self, deltas: &[EdgeDelta]) {
         self.stats.evaluations += 1;
+        self.move_stack_to(deltas);
+    }
+
+    /// [`IncrementalOracle::run_deltas`] without counting an evaluation: the
+    /// level-count bound reads the prefix state but scores nothing.
+    fn move_stack_to(&mut self, deltas: &[EdgeDelta]) {
         let mut common = 0usize;
         while common < self.active.len()
             && common < deltas.len()
@@ -2080,6 +2139,106 @@ impl IncrementalOracle {
         self.state.summary(n)
     }
 
+    /// Shared gate of the insertion scorers: `true` when `prefix ++
+    /// [Insert {u, v}]` can be scored from `v`'s parked vector — `u` is the
+    /// pinned source, the prefix is removal-only, and `v`'s slot is at the
+    /// pinned version, lazily warmed to it if it was stale (counted as a
+    /// `lazy_hits`).
+    fn insert_target_current(
+        &mut self,
+        g: &OwnedGraph,
+        prefix: &[EdgeDelta],
+        u: NodeId,
+        v: NodeId,
+    ) -> bool {
+        if !self.persistent
+            || u as u32 != self.src
+            || self.pinned_version.is_none()
+            || v >= self.cache.len()
+            || prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
+        {
+            return false;
+        }
+        if self.cache[v].version != self.pinned_version {
+            // Lazy on-demand warming: repair `v`'s parked vector by replaying
+            // its own journal window right now (the working state and its
+            // candidate deltas are swapped aside, so the pin is undisturbed).
+            // `g` is the pinned graph, so success lands the slot exactly on
+            // the pinned version.
+            if self.cache[v].version.is_none()
+                || Some(g.version()) != self.pinned_version
+                || !self.warm_slot(g, v)
+            {
+                return false;
+            }
+            debug_assert_eq!(self.cache[v].version, self.pinned_version);
+            self.stats.lazy_hits += 1;
+        }
+        true
+    }
+
+    /// Tightens the working state's maximum and records the ball radius a
+    /// query from this state would need, so later demotions keep enough of
+    /// their vector to stay servable. Returns the eccentricity, or `None`
+    /// when the working state does not reach every vertex.
+    fn note_demand_radius(&mut self) -> Option<u16> {
+        if self.state.reached != self.csr.num_nodes() {
+            return None;
+        }
+        let mut mu = self.state.max_hint;
+        while mu > 0 && self.state.level_counts[mu as usize] == 0 {
+            mu -= 1;
+        }
+        self.state.max_hint = mu;
+        self.demand_radius = self.demand_radius.max(mu.saturating_sub(2));
+        Some(mu)
+    }
+
+    /// The exact post-insertion summary when `prefix` is one removal
+    /// `{src, w}` that cut the (connected) graph into the source's side `C`
+    /// (the `r` vertices the working state reaches) and `w`'s side `R`.
+    /// Inserting `{src, v}` with `v ∈ C` leaves `R` unreachable. With
+    /// `v ∈ R`, vertices of `C` keep `d_src`, and a vertex `x ∈ R` moves to
+    /// `1 + d_v(x)`, where `v`'s parked (pre-removal) distances on `R` are
+    /// already the post-removal ones: a detour through `C` would cross the
+    /// bridge twice. On `C`, `v`'s parked distances are `d_v(src) + d_src`,
+    /// so `Σ_R d_v = sum_v − r · d_v(src) − sum_src`, and `R`'s level counts
+    /// are `cnt_v[j] − cnt_src[j − d_v(src)]`. `None` for any other prefix.
+    fn bridge_insert_summary(&mut self, prefix: &[EdgeDelta], v: usize) -> Option<DistanceSummary> {
+        let n = self.cache.len();
+        let src = self.src as usize;
+        let (&[EdgeDelta::Remove { u: a, v: b }], slot) = (prefix, &self.cache[v]) else {
+            return None;
+        };
+        if (a != src && b != src) || slot.reached != n {
+            return None;
+        }
+        if self.state.dist[v] != UNREACHABLE {
+            return Some(DistanceSummary::DISCONNECTED);
+        }
+        let r = self.state.reached;
+        let via = usize::from(slot.dist[src]);
+        let sum = (n - r) as u64 + slot.sum - r as u64 * via as u64;
+        let near = &self.state.level_counts;
+        let mut near_max = self.state.max_hint;
+        while near_max > 0 && near[near_max as usize] == 0 {
+            near_max -= 1;
+        }
+        // `R`'s farthest level: `v`'s levels minus the shifted source side.
+        let mut far_max = usize::from(slot.max_hint);
+        while far_max > 0 {
+            let on_near_side = far_max.checked_sub(via).map_or(0, |k| near[k]);
+            if slot.level_counts[far_max] > on_near_side {
+                break;
+            }
+            far_max -= 1;
+        }
+        Some(DistanceSummary {
+            sum: Some(sum),
+            max: Some(u32::from(near_max).max(far_max as u32 + 1)),
+        })
+    }
+
     /// The ball-sparse twin of [`fused_insert_summary`]: the post-insertion
     /// summary of the pinned source when the inserted endpoint `v`'s parked
     /// vector is demoted, computed in `O(|ball| + levels touched)` from the
@@ -2142,6 +2301,75 @@ impl IncrementalOracle {
             sum: Some(sum),
             max: Some(u32::from(m)),
         })
+    }
+}
+
+/// The `O(eccentricity)` lower bound behind
+/// [`DistanceOracle::insert_level_bound`]: the pinned source's summary after
+/// inserting `{src, v}`, bounded from the source's level counts `src_levels`
+/// (all `n` vertices reached, SUM `src_sum`, eccentricity `ecc`), the
+/// insertion target's distance `delta` and the target's parked level counts
+/// `far_levels` (which may over-count every ball of the target).
+///
+/// The SUM gain is bounded twice and the smaller bound kept: with every
+/// source distance taken as `E` and each vertex's gain capped at `δ − 1` (the
+/// trait's formula), and uncapped with the source's real level counts,
+/// pairing far source levels with near target levels.
+fn level_insert_bound(
+    src_levels: &[u16],
+    src_sum: u64,
+    ecc: u16,
+    delta: u16,
+    far_levels: &[u16],
+) -> DistanceSummary {
+    let (e, d) = (usize::from(ecc), usize::from(delta));
+    // A vertex at target distance `j` gains at most `min(E − 1 − j, δ − 1)`.
+    let mut capped = 0u64;
+    for (j, &c) in far_levels.iter().enumerate().take(e.saturating_sub(1)) {
+        capped += u64::from(c) * (e - 1 - j).min(d.saturating_sub(1)) as u64;
+    }
+    // Without the cap, `Σ_x max(0, d_src(x) − 1 − d_far(x))` is largest when
+    // the farthest source levels meet the nearest target levels: pair them
+    // greedily until a pair can no longer gain.
+    let mut paired = 0u64;
+    let (mut a, mut left_a) = (e, u64::from(src_levels[e]));
+    let (mut b, mut left_b) = (0, far_levels.first().map_or(0, |&c| u64::from(c)));
+    while a > b + 1 {
+        let m = left_a.min(left_b);
+        paired += m * (a - 1 - b) as u64;
+        left_a -= m;
+        left_b -= m;
+        if left_a == 0 {
+            a -= 1;
+            left_a = u64::from(src_levels[a]);
+        }
+        if left_b == 0 {
+            b += 1;
+            match far_levels.get(b) {
+                Some(&c) => left_b = u64::from(c),
+                None => break,
+            }
+        }
+    }
+    let gain = capped.min(paired);
+    // `at_least` = #{d_src ≥ k}, `near` = #{d_far ≤ k − 2}; the former
+    // shrinks and the latter grows with `k`, so the first failing `k` ends
+    // the scan.
+    let mut max = 0usize;
+    let mut at_least: u64 = src_levels[1..=e].iter().map(|&c| u64::from(c)).sum();
+    let mut near = 0u64;
+    for k in 1..=e {
+        if at_least <= near {
+            break;
+        }
+        max = k;
+        at_least -= u64::from(src_levels[k]);
+        near += u64::from(far_levels[k - 1]);
+    }
+    let max = max.max((e + 1).saturating_sub(d));
+    DistanceSummary {
+        sum: Some(src_sum.saturating_sub(gain)),
+        max: Some(max as u32),
     }
 }
 
@@ -2349,28 +2577,8 @@ impl DistanceOracle for IncrementalOracle {
         v: NodeId,
     ) -> Option<(DistanceSummary, bool)> {
         let _sp = trace::span(trace::Phase::FusedKernel);
-        if !self.persistent
-            || u as u32 != self.src
-            || self.pinned_version.is_none()
-            || v >= self.cache.len()
-            || prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
-        {
+        if !self.insert_target_current(g, prefix, u, v) {
             return None;
-        }
-        if self.cache[v].version != self.pinned_version {
-            // Lazy on-demand warming: repair `v`'s parked vector by replaying
-            // its own journal window right now (the working state and its
-            // candidate deltas are swapped aside, so the pin is undisturbed).
-            // `g` is the pinned graph, so success lands the slot exactly on
-            // the pinned version.
-            if self.cache[v].version.is_none()
-                || Some(g.version()) != self.pinned_version
-                || !self.warm_slot(g, v)
-            {
-                return None;
-            }
-            debug_assert_eq!(self.cache[v].version, self.pinned_version);
-            self.stats.lazy_hits += 1;
         }
         // Bring the delta stack to exactly `prefix` (for the swap enumeration
         // `(from, to₁), (from, to₂), …` this is a no-op after the first
@@ -2378,16 +2586,7 @@ impl DistanceOracle for IncrementalOracle {
         // ever pushed or rolled back).
         self.run_deltas(prefix);
         let n = self.csr.num_nodes();
-        if self.state.reached == n {
-            // Record the ball radius a query from this state would need, so
-            // later demotions keep enough of their vector to stay servable.
-            let mut mu = self.state.max_hint;
-            while mu > 0 && self.state.level_counts[mu as usize] == 0 {
-                mu -= 1;
-            }
-            self.state.max_hint = mu;
-            self.demand_radius = self.demand_radius.max(mu.saturating_sub(2));
-        }
+        self.note_demand_radius();
         if self.cache[v].is_sparse() {
             let summary = self.sparse_insert_ball_summary(v)?;
             self.stats.sparse_hits += 1;
@@ -2397,9 +2596,47 @@ impl DistanceOracle for IncrementalOracle {
             self.lru_tick += 1;
             return Some((summary, prefix.is_empty()));
         }
-        let summary = fused_insert_summary(&self.state.dist[..n], &self.cache[v].dist[..n]);
+        let far = &self.cache[v].dist;
+        let summary = fused_insert_summary(&self.state.dist[..n], &far[..n]);
         self.stats.nodes_expanded += n as u64;
-        Some((summary, prefix.is_empty()))
+        // A removed edge `{src, w}` with `d_v(w) ≤ d_v(src)` is crossed from
+        // `w` to `src` by shortest paths from `v`, if at all; every vertex
+        // whose distance from `v` it lengthens keeps its fused value `d_src`
+        // (see the trait documentation), so the kernel stays exact.
+        let src = self.src as usize;
+        let exact = prefix.iter().all(|d| match *d {
+            EdgeDelta::Remove { u: a, v: b } if a == src || b == src => {
+                far[a + b - src] <= far[src]
+            }
+            _ => false,
+        });
+        Some((summary, exact))
+    }
+
+    fn insert_level_bound(
+        &mut self,
+        g: &OwnedGraph,
+        prefix: &[EdgeDelta],
+        u: NodeId,
+        v: NodeId,
+    ) -> Option<(DistanceSummary, bool)> {
+        if !self.insert_target_current(g, prefix, u, v) || self.cache[v].is_sparse() {
+            return None;
+        }
+        self.move_stack_to(prefix);
+        match self.note_demand_radius() {
+            Some(ecc) => {
+                let bound = level_insert_bound(
+                    &self.state.level_counts,
+                    self.state.sum,
+                    ecc,
+                    self.state.dist[v],
+                    &self.cache[v].level_counts,
+                );
+                Some((bound, false))
+            }
+            None => self.bridge_insert_summary(prefix, v).map(|s| (s, true)),
+        }
     }
 
     fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
