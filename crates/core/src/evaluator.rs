@@ -29,7 +29,7 @@
 use crate::cost::EdgeCostMode;
 use crate::moves::Move;
 use ncg_graph::oracle::{
-    make_oracle_with_budgets, DistanceOracle, EdgeDelta, OracleKind, OracleStats,
+    make_oracle_with_budgets, DistanceOracle, EdgeDelta, InsertBoundTable, OracleKind, OracleStats,
 };
 use ncg_graph::{DistanceSummary, NodeId, OwnedGraph};
 
@@ -75,6 +75,9 @@ pub struct CostEvaluator {
     /// evict the mover's pinned base vector or its delta-stack prefix. Lazily
     /// created on the first consent-checked scan.
     consent: Option<Box<dyn DistanceOracle>>,
+    /// The group tier's bound table, refilled by every
+    /// [`CostEvaluator::group_bounds`] call.
+    bounds: InsertBoundTable,
 }
 
 impl CostEvaluator {
@@ -111,6 +114,7 @@ impl CostEvaluator {
             oracle: make_oracle_with_budgets(kind, n, cache_budget, byte_budget),
             deltas: Vec::with_capacity(4),
             consent: None,
+            bounds: InsertBoundTable::default(),
         }
     }
 
@@ -244,6 +248,34 @@ impl CostEvaluator {
         } else {
             DeltaScore::LowerBound(summary)
         })
+    }
+
+    /// The group tier, ahead of [`CostEvaluator::level_bound`]: lower bounds
+    /// on `u`'s summary after inserting `{u, v}`, for every target `v` at
+    /// once, behind the removal of `{u, from}` when `removed == Some(from)`
+    /// (a swap group) or on the current graph when `None` (the buys). See
+    /// [`DistanceOracle::insert_bound_table`]. Returns the table and the
+    /// working distances that key it, or `None` when the backend keeps no
+    /// table. `removed` must name an edge at `u`.
+    pub fn group_bounds(
+        &mut self,
+        g: &OwnedGraph,
+        u: NodeId,
+        removed: Option<NodeId>,
+    ) -> Option<(&InsertBoundTable, &[u16])> {
+        let remove = removed.map(|from| EdgeDelta::Remove { u, v: from });
+        let dist = self
+            .oracle
+            .insert_bound_table(g, remove.as_slice(), u, &mut self.bounds)?;
+        Some((&self.bounds, dist))
+    }
+
+    /// The exact summary of `u` after `mv`, always through the repair
+    /// machinery ([`CostEvaluator::score_exact_last`]), never the fused
+    /// kernel; `None` when `mv` has no delta sequence or does not apply.
+    pub fn score_exact(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Option<DistanceSummary> {
+        self.buffer_deltas(g, u, mv).ok()?;
+        Some(self.score_exact_last())
     }
 
     /// Translates `mv` into its edge-delta sequence in `self.deltas`, or

@@ -11,15 +11,18 @@ use crate::cost::{agent_cost_total, is_improvement, DistanceMetric, EdgeCostMode
 use crate::evaluator::{edge_cost_after, party_edge_cost_after, CostEvaluator, DeltaScore};
 use crate::moves::{apply_move, undo_move, Move};
 use ncg_graph::oracle::{OracleKind, OracleStats};
-use ncg_graph::{BfsBuffer, HostGraph, NodeId, OwnedGraph};
+use ncg_graph::{BfsBuffer, DistanceSummary, HostGraph, NodeId, OwnedGraph, UNREACHABLE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Reusable scratch space for best-response computations.
 ///
-/// Keeping the BFS buffer, the distance-oracle evaluator, the scratch graph and
-/// the candidate vector alive across calls removes all allocation from the
-/// inner loop of the dynamics engine.
+/// Keeping the BFS buffer, the distance-oracle evaluator, the scratch graph,
+/// the candidate vector and the scan's bookkeeping buffers alive across calls
+/// keeps allocation out of the inner loop of the dynamics engine: a scan
+/// without consent checks allocates only the moves it returns, and nothing
+/// when it returns none.
 #[derive(Debug)]
 pub struct Workspace {
     /// Single-source BFS workspace (used by the fallback scoring path and by
@@ -30,6 +33,18 @@ pub struct Workspace {
     scratch: OwnedGraph,
     candidates: Vec<Move>,
     parties: Vec<NodeId>,
+    /// Candidate indices of the group in flight that the group tier kept.
+    survivors: Vec<usize>,
+    /// Improving candidates found so far, with their candidate index.
+    found: Vec<(usize, ScoredMove)>,
+    /// Per `found` entry of a deferred-consent scan: consent still owed.
+    unchecked: Vec<bool>,
+    /// Candidates queued for the best-only scan's bound-ordered refinement.
+    pending: Vec<Pending>,
+    /// Index ranges of `pending`'s refinement groups, cheapest group first.
+    runs: Vec<Range<usize>>,
+    /// Kernel-bounded candidates of the refinement group in flight.
+    bounded: BinaryHeap<Reverse<Pending>>,
 }
 
 impl Workspace {
@@ -67,6 +82,12 @@ impl Workspace {
             scratch: OwnedGraph::new(n),
             candidates: Vec::new(),
             parties: Vec::new(),
+            survivors: Vec::new(),
+            found: Vec::new(),
+            unchecked: Vec::new(),
+            pending: Vec::new(),
+            runs: Vec::new(),
+            bounded: BinaryHeap::new(),
         }
     }
 
@@ -224,15 +245,17 @@ pub trait Game {
     /// All feasible *best-response* moves of agent `u`: the improving moves of
     /// maximal cost decrease. Empty iff the agent is happy.
     ///
-    /// Uses the best-only scan mode (`ScanMode::BestOnly`): candidates are
-    /// refined through the scoring tiers (level-count bound, fused kernel,
-    /// exact repair) in ascending-bound order and never scored past the first
-    /// bound above the best cost found; on the delta consent path the
-    /// expensive counterpart checks are deferred and run in ascending-cost
-    /// order. Either way a scan pays for the candidates *below* the best
-    /// feasible cost and the ties at it — not for every improving candidate —
-    /// and returns exactly the moves (in enumeration order) an unpruned scan
-    /// would, so random tie-breaking sees the same list.
+    /// Uses the best-only scan mode (`ScanMode::BestOnly`): after the group
+    /// tier's table has dropped the hopeless purchases and swaps, candidates
+    /// are refined through the scoring tiers (level-count bound, fused
+    /// kernel, exact repair) in ascending-bound order and never scored past
+    /// the first bound above the best cost found; on the delta consent path
+    /// the expensive counterpart checks are deferred and run in
+    /// ascending-cost order. Either way a scan pays for the candidates
+    /// *below* the best feasible cost and the ties at it — not for every
+    /// improving candidate — and returns exactly the moves (in enumeration
+    /// order) an unpruned scan would, so random tie-breaking sees the same
+    /// list.
     fn best_responses(&self, g: &OwnedGraph, u: NodeId, ws: &mut Workspace) -> Vec<ScoredMove> {
         let mut improving = scan_moves(self, g, u, ws, ScanMode::BestOnly);
         if improving.is_empty() {
@@ -366,15 +389,109 @@ fn prefix_group(mv: &Move) -> usize {
     }
 }
 
-/// Splits the pending candidates into their refinement groups, each in
-/// ascending bound (ties in enumeration order), and orders the groups by
-/// their smallest bound.
-fn pending_groups<'a>(pending: &'a mut [Pending], candidates: &[Move]) -> Vec<&'a [Pending]> {
+/// Sorts the pending candidates into their refinement groups, each in
+/// ascending bound (ties in enumeration order), and lists the groups' index
+/// ranges in `runs`, ordered by their smallest bound (ties by group).
+fn pending_groups(pending: &mut [Pending], candidates: &[Move], runs: &mut Vec<Range<usize>>) {
     let group = |p: &Pending| prefix_group(&candidates[p.ci as usize]);
-    pending.sort_by(|a, b| group(a).cmp(&group(b)).then(a.bound.total_cmp(&b.bound)));
-    let mut groups: Vec<&[Pending]> = pending.chunk_by(|a, b| group(a) == group(b)).collect();
-    groups.sort_by(|a, b| a[0].bound.total_cmp(&b[0].bound));
-    groups
+    pending.sort_unstable_by(|a, b| group(a).cmp(&group(b)).then(a.cmp(b)));
+    runs.clear();
+    let mut start = 0;
+    for end in 1..=pending.len() {
+        if end == pending.len() || group(&pending[end]) != group(&pending[start]) {
+            runs.push(start..end);
+            start = end;
+        }
+    }
+    runs.sort_unstable_by(|a, b| {
+        pending[a.start]
+            .bound
+            .total_cmp(&pending[b.start].bound)
+            .then(a.start.cmp(&b.start))
+    });
+}
+
+/// The candidate group of the group tier a move belongs to: `Some(None)` for
+/// a purchase (no prefix), `Some(Some(from))` for a swap dropping `{u,
+/// from}`, `None` for a move no bound table serves.
+fn insert_group(mv: &Move) -> Option<Option<NodeId>> {
+    match *mv {
+        Move::Buy { .. } => Some(None),
+        Move::Swap { from, .. } => Some(Some(from)),
+        _ => None,
+    }
+}
+
+/// The inserted endpoint of a purchase or swap.
+fn insert_target(mv: &Move) -> NodeId {
+    match *mv {
+        Move::Buy { to } | Move::Swap { to, .. } => to,
+        _ => unreachable!("only purchases and swaps form insertion groups"),
+    }
+}
+
+/// The group tier: one bound table for a whole candidate group `group` of
+/// `candidates` — the purchases, or the swaps of one edge `{u, from}` — and
+/// one load and compare per candidate. Pushes to `survivors` the indices
+/// whose insertion target's bound may still cost an improvement (`improves`
+/// maps a summary to that verdict; the group's candidates share their edge
+/// cost); all of them when the backend keeps no table.
+///
+/// The table's entries never grow with the target's working distance, so
+/// the first improving entry is a distance cutoff; a group without one is
+/// skipped whole. A dropped candidate's exact cost is at least its bound's,
+/// so it is not an improvement: the tiers behind see the same improving
+/// candidates, in the same order, as without this one.
+fn prune_group(
+    ws: &mut Workspace,
+    g: &OwnedGraph,
+    u: NodeId,
+    candidates: &[Move],
+    group: Range<usize>,
+    improves: impl Fn(&DistanceSummary) -> bool,
+    survivors: &mut Vec<usize>,
+) {
+    let removed = insert_group(&candidates[group.start]).flatten();
+    let Some((table, dist)) = ws.evaluator.group_bounds(g, u, removed) else {
+        survivors.extend(group);
+        return;
+    };
+    let cutoff = (2..table.by_dist().len())
+        .find(|&d| improves(&table.by_dist()[d]))
+        .map(|d| d as u16)
+        .or_else(|| improves(&table.unreached()).then_some(UNREACHABLE));
+    let mut first_pruned = None;
+    match cutoff {
+        Some(cutoff) => {
+            for ci in group {
+                // A target out of range is left to the tiers behind, which
+                // reject it as inapplicable.
+                if dist
+                    .get(insert_target(&candidates[ci]))
+                    .is_none_or(|&d| d >= cutoff)
+                {
+                    survivors.push(ci);
+                } else if first_pruned.is_none() {
+                    first_pruned = Some(ci);
+                }
+            }
+        }
+        None => first_pruned = Some(group.start),
+    }
+    // Debug builds re-score one dropped candidate per group exactly, through
+    // the repair machinery rather than the fused kernel (so the kernel-call
+    // gates read the same in every build), and check it does not improve.
+    if cfg!(debug_assertions) {
+        if let Some(ci) = first_pruned {
+            let mv = &candidates[ci];
+            if let Some(exact) = ws.evaluator.score_exact(g, u, mv) {
+                assert!(
+                    !improves(&exact),
+                    "group tier dropped the improving move {mv:?} of agent {u} ({exact:?})"
+                );
+            }
+        }
+    }
 }
 
 /// Shared candidate-evaluation loop: enumerate candidates, score each from the
@@ -424,7 +541,13 @@ fn scan_moves<G: Game + ?Sized>(
     // deferred to one ascending-cost pass after the scoring loop; the entries
     // of `unchecked` mark which collected moves still owe one.
     let defer_consent = consent_delta && mode == ScanMode::BestOnly;
-    // Every delta-path candidate first meets the level-count bound (tier 0,
+    // Ahead of everything per candidate, the group tier bounds the purchases
+    // and the swaps of each edge from one table each (`prune_group`):
+    // candidates it proves non-improving never reach the tiers below, and a
+    // group it proves hopeless is skipped whole. Consent games keep the
+    // per-candidate path.
+    let group_tier = delta_path && !consent_delta;
+    // Every delta-path candidate then meets the level-count bound (tier 0,
     // `O(eccentricity)`): one whose bound cost is not an improvement is
     // dropped before the `O(n)` kernel. In best-only mode without consent
     // the survivors — and the kernel-bounded candidates the level bound could
@@ -436,91 +559,126 @@ fn scan_moves<G: Game + ?Sized>(
     let order_by_bound = delta_path && !consent_delta && mode == ScanMode::BestOnly;
     let allow_bound = delta_path && mode != ScanMode::AllImproving;
     let mut scratch_synced = false;
-    let mut out = Vec::new();
-    // Original candidate index of each `out` entry (enumeration order must be
-    // restored after the bound-ordered pass — tie-breaking RNG sees it).
-    let mut out_idx: Vec<usize> = Vec::new();
-    let mut unchecked: Vec<bool> = Vec::new();
-    let mut pending: Vec<Pending> = Vec::new();
-    for (ci, mv) in candidates.iter().enumerate() {
-        let mut deferred = false;
-        let new_cost = if delta_path {
-            let score = match ws.evaluator.level_bound(g, u, mv) {
-                Some(DeltaScore::LowerBound(lb)) => {
-                    let lb_cost =
-                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
-                    if !is_improvement(old_cost, lb_cost) {
-                        continue;
-                    }
-                    if order_by_bound {
-                        pending.push(Pending::new(ci, lb_cost, false));
-                        continue;
-                    }
-                    ws.evaluator.try_score_bounded(g, u, mv, allow_bound)
-                }
-                Some(exact) => exact,
-                None => ws.evaluator.try_score_bounded(g, u, mv, allow_bound),
-            };
-            let summary = match score {
-                DeltaScore::Summary(summary) => Some(summary),
-                DeltaScore::LowerBound(lb) => {
-                    let lb_cost =
-                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
-                    if !is_improvement(old_cost, lb_cost) {
-                        // The true cost is at least the bound: provably not
-                        // an improvement, no exact evaluation needed.
-                        continue;
-                    }
-                    if order_by_bound {
-                        pending.push(Pending::new(ci, lb_cost, true));
-                        continue;
-                    }
-                    Some(ws.evaluator.score_exact_last())
-                }
-                DeltaScore::Inapplicable => continue,
-                DeltaScore::Unsupported => None,
-            };
-            match summary {
-                Some(summary) => {
-                    let new_cost = edge_cost_after(g, u, mv, edge_mode, alpha)
-                        + metric.distance_cost(&summary);
-                    // Consent is only consulted for improving candidates,
-                    // exactly like the fallback path.
-                    if consent_delta && is_improvement(old_cost, new_cost) {
-                        if defer_consent {
-                            deferred = true;
-                        } else if consent_blocked_delta(game, g, u, mv, ws) {
+    let mut survivors = std::mem::take(&mut ws.survivors);
+    // Improving candidates with their candidate index (enumeration order must
+    // be restored after the bound-ordered pass — tie-breaking RNG sees it).
+    let mut found = std::mem::take(&mut ws.found);
+    let mut unchecked = std::mem::take(&mut ws.unchecked);
+    let mut pending = std::mem::take(&mut ws.pending);
+    found.clear();
+    unchecked.clear();
+    pending.clear();
+    // Candidates reaching tier 0, added to the trace counter once per scan.
+    let mut tier0 = 0u64;
+    let mut start = 0;
+    'groups: while start < candidates.len() {
+        // Consecutive candidates of one insertion group (or a run of moves
+        // outside every group) are taken together.
+        let key = insert_group(&candidates[start]);
+        let end = candidates[start..]
+            .iter()
+            .position(|mv| insert_group(mv) != key)
+            .map_or(candidates.len(), |k| start + k);
+        survivors.clear();
+        match key {
+            // A swap of an edge `u` lacks is inapplicable: no prefix to pin.
+            Some(removed) if group_tier && removed.is_none_or(|from| g.has_edge(u, from)) => {
+                let edge_cost = edge_cost_after(g, u, &candidates[start], edge_mode, alpha);
+                let improves = |s: &DistanceSummary| {
+                    is_improvement(old_cost, edge_cost + metric.distance_cost(s))
+                };
+                prune_group(ws, g, u, &candidates, start..end, improves, &mut survivors);
+            }
+            _ => survivors.extend(start..end),
+        }
+        start = end;
+        for &ci in &survivors {
+            let mv = &candidates[ci];
+            let mut deferred = false;
+            let new_cost = if delta_path {
+                tier0 += 1;
+                let score = match ws.evaluator.level_bound(g, u, mv) {
+                    Some(DeltaScore::LowerBound(lb)) => {
+                        let lb_cost =
+                            edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
+                        if !is_improvement(old_cost, lb_cost) {
                             continue;
                         }
+                        if order_by_bound {
+                            pending.push(Pending::new(ci, lb_cost, false));
+                            continue;
+                        }
+                        ws.evaluator.try_score_bounded(g, u, mv, allow_bound)
                     }
-                    new_cost
+                    Some(exact) => exact,
+                    None => ws.evaluator.try_score_bounded(g, u, mv, allow_bound),
+                };
+                let summary = match score {
+                    DeltaScore::Summary(summary) => Some(summary),
+                    DeltaScore::LowerBound(lb) => {
+                        let lb_cost =
+                            edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
+                        if !is_improvement(old_cost, lb_cost) {
+                            // The true cost is at least the bound: provably
+                            // not an improvement, no exact evaluation needed.
+                            continue;
+                        }
+                        if order_by_bound {
+                            pending.push(Pending::new(ci, lb_cost, true));
+                            continue;
+                        }
+                        Some(ws.evaluator.score_exact_last())
+                    }
+                    DeltaScore::Inapplicable => continue,
+                    DeltaScore::Unsupported => None,
+                };
+                match summary {
+                    Some(summary) => {
+                        let new_cost = edge_cost_after(g, u, mv, edge_mode, alpha)
+                            + metric.distance_cost(&summary);
+                        // Consent is only consulted for improving candidates,
+                        // exactly like the fallback path.
+                        if consent_delta && is_improvement(old_cost, new_cost) {
+                            if defer_consent {
+                                deferred = true;
+                            } else if consent_blocked_delta(game, g, u, mv, ws) {
+                                continue;
+                            }
+                        }
+                        new_cost
+                    }
+                    None => {
+                        match score_on_scratch(game, g, u, mv, ws, &mut scratch_synced, old_cost) {
+                            Some(cost) => cost,
+                            None => continue,
+                        }
+                    }
                 }
-                None => match score_on_scratch(game, g, u, mv, ws, &mut scratch_synced, old_cost) {
+            } else {
+                match score_on_scratch(game, g, u, mv, ws, &mut scratch_synced, old_cost) {
                     Some(cost) => cost,
                     None => continue,
-                },
-            }
-        } else {
-            match score_on_scratch(game, g, u, mv, ws, &mut scratch_synced, old_cost) {
-                Some(cost) => cost,
-                None => continue,
-            }
-        };
-        if is_improvement(old_cost, new_cost) {
-            out.push(ScoredMove {
-                mv: mv.clone(),
-                old_cost,
-                new_cost,
-            });
-            out_idx.push(ci);
-            if defer_consent {
-                unchecked.push(deferred);
-            }
-            if mode == ScanMode::FirstImproving {
-                break;
+                }
+            };
+            if is_improvement(old_cost, new_cost) {
+                found.push((
+                    ci,
+                    ScoredMove {
+                        mv: mv.clone(),
+                        old_cost,
+                        new_cost,
+                    },
+                ));
+                if defer_consent {
+                    unchecked.push(deferred);
+                }
+                if mode == ScanMode::FirstImproving {
+                    break 'groups;
+                }
             }
         }
     }
+    ncg_trace::add(ncg_trace::Counter::LevelBoundCandidates, tier0);
     if order_by_bound && !pending.is_empty() {
         // Ascending-bound refinement with cutoff: once a bound exceeds the
         // best exact cost seen, that candidate cannot beat (or tie) it. A
@@ -529,11 +687,16 @@ fn scan_moves<G: Game + ?Sized>(
         // list. Candidates sharing a removal prefix (swaps of one edge) are
         // refined together, groups in order of their smallest bound, so the
         // prefix is repaired once per group rather than once per switch.
-        let mut best = out.iter().map(|s| s.new_cost).fold(f64::INFINITY, f64::min);
+        let mut best = found
+            .iter()
+            .map(|(_, s)| s.new_cost)
+            .fold(f64::INFINITY, f64::min);
+        let mut runs = std::mem::take(&mut ws.runs);
         // Kernel-bounded candidates of the current group waiting for their
         // exact repair, cheapest bound first.
-        let mut bounded: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-        for run in pending_groups(&mut pending, &candidates) {
+        let mut bounded = std::mem::take(&mut ws.bounded);
+        pending_groups(&mut pending, &candidates, &mut runs);
+        for run in runs.iter().map(|r| &pending[r.clone()]) {
             if run[0].bound > best {
                 break;
             }
@@ -579,25 +742,32 @@ fn scan_moves<G: Game + ?Sized>(
                 let new_cost =
                     edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&summary);
                 if is_improvement(old_cost, new_cost) {
-                    out.push(ScoredMove {
-                        mv: mv.clone(),
-                        old_cost,
-                        new_cost,
-                    });
-                    out_idx.push(p.ci as usize);
+                    found.push((
+                        p.ci as usize,
+                        ScoredMove {
+                            mv: mv.clone(),
+                            old_cost,
+                            new_cost,
+                        },
+                    ));
                     best = best.min(new_cost);
                 }
             }
         }
+        ws.runs = runs;
+        ws.bounded = bounded;
         // Restore candidate-enumeration order for the tie-breaking RNG.
-        let mut paired: Vec<(usize, ScoredMove)> = out_idx.drain(..).zip(out).collect();
-        paired.sort_by_key(|&(ci, _)| ci);
-        out = paired.into_iter().map(|(_, s)| s).collect();
+        found.sort_unstable_by_key(|&(ci, _)| ci);
     }
+    let mut out: Vec<ScoredMove> = found.drain(..).map(|(_, s)| s).collect();
     ws.candidates = candidates;
+    ws.survivors = survivors;
+    ws.found = found;
+    ws.pending = pending;
     if defer_consent && !out.is_empty() {
         out = resolve_deferred_consent(game, g, u, ws, out, &unchecked);
     }
+    ws.unchecked = unchecked;
     out
 }
 

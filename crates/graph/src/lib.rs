@@ -50,8 +50,8 @@ pub use graph::{EdgeChange, EdgeRef, GraphVersion, NodeId, OwnedGraph};
 pub use host::HostGraph;
 pub use isomorphism::{are_isomorphic, are_isomorphic_owned};
 pub use oracle::{
-    make_oracle, DistanceOracle, EdgeDelta, FullBfsOracle, IncrementalOracle, OracleKind,
-    OracleStats,
+    make_oracle, DistanceOracle, EdgeDelta, FullBfsOracle, IncrementalOracle, InsertBoundTable,
+    OracleKind, OracleStats,
 };
 pub use properties::{
     center_vertices, components, diameter, eccentricities, is_connected, is_tree, median_vertices,

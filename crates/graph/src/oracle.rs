@@ -68,6 +68,93 @@ pub enum EdgeDelta {
     },
 }
 
+/// Lower bounds on the pinned source's summary after `prefix ++ [Insert {src,
+/// v}]` for **every** insertion target `v` at once, keyed by `v`'s working
+/// distance after `prefix`. Filled by [`DistanceOracle::insert_bound_table`]
+/// from the working state alone, so one table serves a whole candidate group:
+/// the buys (empty prefix) or the swaps of one edge (prefix `Remove {src,
+/// from}`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InsertBoundTable {
+    /// `by_dist[δ]` bounds a target at working distance `δ ≥ 2`. Entries 0
+    /// and 1 stand for the source and its neighbours, which are no insertion
+    /// targets; they hold [`DistanceSummary::DISCONNECTED`].
+    by_dist: Vec<DistanceSummary>,
+    /// The bound for a target the working state does not reach.
+    unreached: DistanceSummary,
+}
+
+impl Default for InsertBoundTable {
+    fn default() -> Self {
+        InsertBoundTable {
+            by_dist: Vec::new(),
+            unreached: DistanceSummary::DISCONNECTED,
+        }
+    }
+}
+
+impl InsertBoundTable {
+    /// The bound for a target at working distance `dist` ([`UNREACHABLE`]
+    /// for a target the working state does not reach).
+    pub fn get(&self, dist: u16) -> DistanceSummary {
+        if dist == UNREACHABLE {
+            self.unreached
+        } else {
+            self.by_dist[usize::from(dist)]
+        }
+    }
+
+    /// The bounds of reached targets, indexed by working distance. From
+    /// index 2 on, neither SUM nor MAX grows with the index.
+    pub fn by_dist(&self) -> &[DistanceSummary] {
+        &self.by_dist
+    }
+
+    /// The bound of a target the working state does not reach.
+    pub fn unreached(&self) -> DistanceSummary {
+        self.unreached
+    }
+
+    /// Refills the table from the working state after the prefix: its level
+    /// counts `levels`, SUM `sum` over the `reached` of `n` vertices, and
+    /// tightened eccentricity `ecc` (see
+    /// [`DistanceOracle::insert_bound_table`] for the formulas).
+    fn fill(&mut self, levels: &[u16], sum: u64, reached: usize, n: usize, ecc: u16) {
+        let e = usize::from(ecc);
+        self.by_dist.clear();
+        if reached < n {
+            // Every reached target leaves the rest unreachable.
+            self.by_dist.resize(e + 1, DistanceSummary::DISCONNECTED);
+            let rest = (n - reached) as u64;
+            self.unreached = DistanceSummary {
+                sum: Some(sum + 2 * rest - 1),
+                max: Some(u32::from(ecc).max(1 + u32::from(rest >= 2))),
+            };
+            return;
+        }
+        self.by_dist.resize(2, DistanceSummary::DISCONNECTED);
+        self.unreached = DistanceSummary::DISCONNECTED;
+        // `gain(δ) = Σ_{j≥2} L[j]·min(δ − 1, j − 2) = Σ_{t=1}^{δ−1} #{d ≥ t + 2}`,
+        // grown by one suffix count per step of δ.
+        let mut beyond: u64 = levels
+            .iter()
+            .take(e + 1)
+            .skip(3)
+            .map(|&c| u64::from(c))
+            .sum();
+        let mut gain = 0u64;
+        for d in 2..=e {
+            gain += beyond;
+            beyond -= u64::from(levels[d + 1]);
+            self.by_dist.push(DistanceSummary {
+                sum: Some(sum.saturating_sub(1 + gain)),
+                // `E + 1 − δ ≥ 1`: no target is farther than `E`.
+                max: Some((e + 1 - d) as u32),
+            });
+        }
+    }
+}
+
 /// Which distance-oracle backend a workspace uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OracleKind {
@@ -433,6 +520,47 @@ pub trait DistanceOracle: Send {
         _u: NodeId,
         _v: NodeId,
     ) -> Option<(DistanceSummary, bool)> {
+        None
+    }
+
+    /// The group tier, ahead of every per-candidate tier: fills `table` with
+    /// lower bounds on the pinned source's summary after `prefix ++ [Insert
+    /// {src, v}]` for every target `v`, and returns the working distances
+    /// after `prefix` that key it (`table.get(dist[v])`). No parked vector
+    /// is read, so the table costs `O(eccentricity)` however many targets
+    /// it serves.
+    ///
+    /// When the working state after `prefix` reaches every vertex (level
+    /// counts `L`, SUM `S`, eccentricity `E`), a target at working distance
+    /// `δ ≥ 2` gets
+    ///
+    /// * SUM `≥ S − 1 − Σ_{j≥2} L[j] · min(δ − 1, j − 2)`: `v` itself gains
+    ///   `δ − 1`, and any other vertex `x` at distance `j` gains at most
+    ///   `j − 1 − d_v(x)` with `d_v(x) ≥ max(1, |j − δ|)`, which is at most
+    ///   `min(δ − 1, j − 2)`;
+    /// * MAX `≥ max(E + 1 − δ, 1)`: the farthest vertex gains at most
+    ///   `δ − 1`.
+    ///
+    /// When the working state reaches only `r < n` vertices (a prefix that
+    /// cut a bridge, or a graph that was disconnected already), the source
+    /// side `C` has no edge to the rest `R` (`|R| = n − r`). A target in `C`
+    /// leaves `R` unreachable: its entry is exactly DISCONNECTED. A target in
+    /// `R` leaves the distances on `C` as they are, puts `v` at 1 and every
+    /// other vertex of `R` at 2 or more: SUM `≥ S_C + 2|R| − 1` and MAX `≥
+    /// max(ecc_C, 1 + [|R| ≥ 2])`.
+    ///
+    /// Neither entry grows with `δ`, so a caller can find the smallest
+    /// improving distance once and drop every closer target with one load
+    /// and one compare. `None` (no table) on the backends without a
+    /// persistent working state, when `src` is not the pinned source, or
+    /// when `g` is not the pinned graph.
+    fn insert_bound_table(
+        &mut self,
+        _g: &OwnedGraph,
+        _prefix: &[EdgeDelta],
+        _src: NodeId,
+        _table: &mut InsertBoundTable,
+    ) -> Option<&[u16]> {
         None
     }
 
@@ -852,16 +980,22 @@ impl DistState {
         self.max_hint = max_hint;
     }
 
-    /// Current summary; tightens `max_hint` to the true maximum.
-    fn summary(&mut self, n: usize) -> DistanceSummary {
-        if self.reached < n {
-            return DistanceSummary::DISCONNECTED;
-        }
+    /// Tightens `max_hint` to the largest reached distance and returns it.
+    fn tight_max(&mut self) -> u16 {
         let mut m = self.max_hint;
         while m > 0 && self.level_counts[m as usize] == 0 {
             m -= 1;
         }
         self.max_hint = m;
+        m
+    }
+
+    /// Current summary; tightens `max_hint` to the true maximum.
+    fn summary(&mut self, n: usize) -> DistanceSummary {
+        if self.reached < n {
+            return DistanceSummary::DISCONNECTED;
+        }
+        let m = self.tight_max();
         DistanceSummary {
             sum: Some(self.sum),
             max: Some(u32::from(m)),
@@ -2185,11 +2319,7 @@ impl IncrementalOracle {
         if self.state.reached != self.csr.num_nodes() {
             return None;
         }
-        let mut mu = self.state.max_hint;
-        while mu > 0 && self.state.level_counts[mu as usize] == 0 {
-            mu -= 1;
-        }
-        self.state.max_hint = mu;
+        let mu = self.state.tight_max();
         self.demand_radius = self.demand_radius.max(mu.saturating_sub(2));
         Some(mu)
     }
@@ -2219,11 +2349,8 @@ impl IncrementalOracle {
         let r = self.state.reached;
         let via = usize::from(slot.dist[src]);
         let sum = (n - r) as u64 + slot.sum - r as u64 * via as u64;
+        let near_max = self.state.tight_max();
         let near = &self.state.level_counts;
-        let mut near_max = self.state.max_hint;
-        while near_max > 0 && near[near_max as usize] == 0 {
-            near_max -= 1;
-        }
         // `R`'s farthest level: `v`'s levels minus the shifted source side.
         let mut far_max = usize::from(slot.max_hint);
         while far_max > 0 {
@@ -2637,6 +2764,24 @@ impl DistanceOracle for IncrementalOracle {
             }
             None => self.bridge_insert_summary(prefix, v).map(|s| (s, true)),
         }
+    }
+
+    fn insert_bound_table(
+        &mut self,
+        g: &OwnedGraph,
+        prefix: &[EdgeDelta],
+        src: NodeId,
+        table: &mut InsertBoundTable,
+    ) -> Option<&[u16]> {
+        if !self.persistent || src as u32 != self.src || self.pinned_version != Some(g.version()) {
+            return None;
+        }
+        self.move_stack_to(prefix);
+        let n = self.csr.num_nodes();
+        let ecc = self.state.tight_max();
+        let st = &self.state;
+        table.fill(&st.level_counts, st.sum, st.reached, n, ecc);
+        Some(&st.dist[..n])
     }
 
     fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {

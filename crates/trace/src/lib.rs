@@ -173,15 +173,19 @@ pub enum Counter {
     ChunkClaims,
     /// Chunk records appended to the sweep journal.
     JournalAppends,
+    /// Candidate moves that reached the per-candidate level-count bound
+    /// (tier 0 of the candidate scan), after the group tier's pruning.
+    LevelBoundCandidates,
 }
 
 /// All counters, in serialization order.
-pub const COUNTERS: [Counter; 5] = [
+pub const COUNTERS: [Counter; 6] = [
     Counter::AgentsScanned,
     Counter::ImprovingMoves,
     Counter::ConfirmScans,
     Counter::ChunkClaims,
     Counter::JournalAppends,
+    Counter::LevelBoundCandidates,
 ];
 
 impl Counter {
@@ -193,6 +197,7 @@ impl Counter {
             Counter::ConfirmScans => "confirm_scans",
             Counter::ChunkClaims => "chunk_claims",
             Counter::JournalAppends => "journal_appends",
+            Counter::LevelBoundCandidates => "level_bound_candidates",
         }
     }
 }
@@ -901,7 +906,8 @@ mod tests {
             "{\"phase\":\"apply\",\"total_ns\":250,\"count\":4,\"children\":[]}",
             "]}",
             "],\"counters\":{\"agents_scanned\":40,\"improving_moves\":4,",
-            "\"confirm_scans\":0,\"chunk_claims\":0,\"journal_appends\":0},",
+            "\"confirm_scans\":0,\"chunk_claims\":0,\"journal_appends\":0,",
+            "\"level_bound_candidates\":0},",
             "\"hists\":{\"scan_width\":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0],",
             "\"wave_width\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}",
         );

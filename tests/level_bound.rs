@@ -1,5 +1,7 @@
-//! Soundness of the persistent oracle's level-count insertion bound
-//! ([`DistanceOracle::insert_level_bound`]) against from-scratch BFS.
+//! Soundness of the persistent oracle's insertion bounds against
+//! from-scratch BFS: the per-candidate level-count bound
+//! ([`DistanceOracle::insert_level_bound`]) and, further below, the group
+//! tier's bound table ([`DistanceOracle::insert_bound_table`]).
 //!
 //! For every buy (`[Insert {u, v}]`) and every swap (`[Remove {u, from},
 //! Insert {u, to}]`) of a pinned source `u`, the bound must satisfy
@@ -18,8 +20,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfish_ncg::graph::oracle::{DistanceOracle, EdgeDelta, FullBfsOracle, IncrementalOracle};
-use selfish_ncg::graph::{generators, DistanceSummary, OwnedGraph};
+use selfish_ncg::graph::oracle::{
+    DistanceOracle, EdgeDelta, FullBfsOracle, IncrementalOracle, InsertBoundTable,
+};
+use selfish_ncg::graph::{generators, DistanceSummary, OwnedGraph, UNREACHABLE};
 
 /// Scale factor for the randomized loops: modest in debug (tier-1), the full
 /// load in release.
@@ -193,4 +197,191 @@ fn level_bound_declines_or_stays_sound_on_demoted_slots() {
         demotions += oracle.stats().sparse_demotions;
     }
     assert!(demotions > 0, "no slot was demoted");
+}
+
+/// A graph the source may already be cut off in: a random network or tree
+/// whose first few vertices lose every edge.
+fn disconnected_graph<R: Rng>(rng: &mut R) -> OwnedGraph {
+    let mut g = random_graph(rng);
+    for x in 0..rng.gen_range(1usize..4) {
+        for y in g.neighbors(x).to_vec() {
+            g.remove_edge(x, y);
+        }
+    }
+    g
+}
+
+/// How often each of the table's formulas met the exact summary with
+/// equality, and how many groups of each kind were checked.
+#[derive(Debug, Default)]
+struct TableTally {
+    /// Groups whose working state reaches every vertex.
+    connected_groups: usize,
+    /// Groups whose removal cut the (connected) base graph.
+    bridge_groups: usize,
+    /// Groups on a base graph that was disconnected already.
+    disconnected_bases: usize,
+    /// Reached targets of a connected working state with a tight SUM entry.
+    sum_tight: usize,
+    /// The same, for the MAX entry.
+    max_tight: usize,
+    /// Unreached targets of a cut working state with a tight SUM entry.
+    cut_sum_tight: usize,
+}
+
+/// Checks the bound table of every group of source `u` — the buys, and the
+/// swaps of each edge at `u` — against `truth` for every target: each entry
+/// must be at most the exact summary of inserting `{u, v}` after the
+/// group's prefix, and the entries must not grow with the distance.
+fn check_tables(
+    g: &OwnedGraph,
+    u: usize,
+    oracle: &mut IncrementalOracle,
+    truth: &mut FullBfsOracle,
+    tally: &mut TableTally,
+) {
+    let n = g.num_nodes();
+    let mut table = InsertBoundTable::default();
+    let base_connected = truth.begin(g, u).is_connected();
+    oracle.begin(g, u);
+    let targets: Vec<usize> = (0..n).filter(|&v| v != u && !g.has_edge(u, v)).collect();
+    let mut prefixes = vec![Vec::new()];
+    prefixes.extend(
+        g.neighbors(u)
+            .iter()
+            .map(|&from| vec![EdgeDelta::Remove { u, v: from }]),
+    );
+    for prefix in prefixes {
+        let dist = oracle
+            .insert_bound_table(g, &prefix, u, &mut table)
+            .expect("the persistent backend keeps a table")
+            .to_vec();
+        let reached = dist.iter().filter(|&&d| d != UNREACHABLE).count();
+        match (reached == n, base_connected) {
+            (true, _) => tally.connected_groups += 1,
+            (false, true) => tally.bridge_groups += 1,
+            (false, false) => tally.disconnected_bases += 1,
+        }
+        let entries = &table.by_dist()[2.min(table.by_dist().len())..];
+        for w in entries.windows(2) {
+            assert!(
+                at_most(w[1], w[0]),
+                "table grows with the distance: {entries:?} (u = {u}, {prefix:?})"
+            );
+        }
+        for &v in &targets {
+            let mut deltas = prefix.clone();
+            deltas.push(EdgeDelta::Insert { u, v });
+            let exact = truth.evaluate(&deltas);
+            let entry = table.get(dist[v]);
+            assert!(
+                at_most(entry, exact),
+                "table entry {entry:?} above exact {exact:?} for {deltas:?} (u = {u}, d = {})",
+                dist[v]
+            );
+            if reached == n {
+                tally.sum_tight += usize::from(entry.sum == exact.sum);
+                tally.max_tight += usize::from(entry.max == exact.max);
+            } else if dist[v] == UNREACHABLE {
+                tally.cut_sum_tight += usize::from(exact.sum.is_some() && entry.sum == exact.sum);
+            }
+        }
+        // The table moved the delta stack; scoring must still be exact.
+        if let Some(&v) = targets.first() {
+            let mut deltas = prefix.clone();
+            deltas.push(EdgeDelta::Insert { u, v });
+            assert_eq!(
+                oracle.evaluate(&deltas),
+                truth.evaluate(&deltas),
+                "{deltas:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn group_table_never_exceeds_the_exact_summary() {
+    let mut rng = StdRng::seed_from_u64(0x7ab1e);
+    let mut tally = TableTally::default();
+    // Paths from an end attain the SUM and MAX entries at distance 2 (every
+    // farther vertex gains exactly 1), and a swap cutting off a two-vertex
+    // tail attains the cut entry.
+    let fixed = [
+        generators::path(12),
+        generators::path(3),
+        generators::star(9),
+    ];
+    for g in &fixed {
+        let n = g.num_nodes();
+        let mut oracle = IncrementalOracle::persistent(n);
+        let mut truth = FullBfsOracle::new(n);
+        let all: Vec<usize> = (0..n).collect();
+        oracle.pin_sources(g, &all);
+        for u in 0..n {
+            check_tables(g, u, &mut oracle, &mut truth, &mut tally);
+        }
+    }
+    for round in 0..60 * SCALE {
+        let g = if round % 3 == 2 {
+            disconnected_graph(&mut rng)
+        } else {
+            random_graph(&mut rng)
+        };
+        let n = g.num_nodes();
+        let mut oracle = IncrementalOracle::persistent(n);
+        let mut truth = FullBfsOracle::new(n);
+        let all: Vec<usize> = (0..n).collect();
+        oracle.pin_sources(&g, &all);
+        for _ in 0..4 {
+            let u = rng.gen_range(0..n);
+            check_tables(&g, u, &mut oracle, &mut truth, &mut tally);
+        }
+    }
+    println!("{tally:?}");
+    assert!(tally.connected_groups > 0, "no connected prefix: {tally:?}");
+    assert!(
+        tally.bridge_groups > 0,
+        "no bridge-cutting prefix: {tally:?}"
+    );
+    assert!(
+        tally.disconnected_bases > 0,
+        "no disconnected base: {tally:?}"
+    );
+    // Soundness alone would accept a table that bounds too low; these pin
+    // each formula to the cases where it is exact.
+    assert!(
+        tally.sum_tight > 0,
+        "the SUM entry is never attained: {tally:?}"
+    );
+    assert!(
+        tally.max_tight > 0,
+        "the MAX entry is never attained: {tally:?}"
+    );
+    assert!(
+        tally.cut_sum_tight > 0,
+        "the cut SUM entry is never attained: {tally:?}"
+    );
+}
+
+#[test]
+fn stateless_backends_keep_no_table() {
+    let g = generators::path(6);
+    let mut table = InsertBoundTable::default();
+    let mut full = FullBfsOracle::new(6);
+    full.begin(&g, 0);
+    assert!(full.insert_bound_table(&g, &[], 0, &mut table).is_none());
+    let mut incremental = IncrementalOracle::new(6);
+    incremental.begin(&g, 0);
+    assert!(incremental
+        .insert_bound_table(&g, &[], 0, &mut table)
+        .is_none());
+    // Nor does the persistent backend for a source it has not pinned.
+    let mut persistent = IncrementalOracle::persistent(6);
+    persistent.begin(&g, 0);
+    assert!(persistent
+        .insert_bound_table(&g, &[], 1, &mut table)
+        .is_none());
+    assert!(persistent
+        .insert_bound_table(&g, &[], 0, &mut table)
+        .is_some());
 }

@@ -6,7 +6,12 @@
 //! before the candidate scan learned to prune. SUM/MAX × ASG/GBG, n ∈ {48,
 //! 96}, three seeds each, random tie-breaking (which consumes the RNG by the
 //! number of tied best responses), on the eager persistent engine and on the
-//! persistent dirty-agent engine.
+//! persistent dirty-agent engine. A second table pins the modes the first
+//! one leaves out: the symmetric Swap Game (SUM/MAX-SG, where the swapped
+//! edge may be owned by the other endpoint) and
+//! [`ResponseMode::FirstImproving`] (movers pick a random improving move
+//! instead of a best response) on the four headline families; both were
+//! recorded before the candidate scan learned to prune whole removal groups.
 //!
 //! A scan optimisation that drops, adds or reorders a tied best response, or
 //! changes a cost by one ulp, changes a digest. To re-derive the table (only
@@ -16,8 +21,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfish_ncg::core::dynamics::{run_dynamics, DynamicsConfig, MoveRecord};
-use selfish_ncg::core::{AsymSwapGame, Game, GreedyBuyGame, Move, OracleKind, TieBreak};
+use selfish_ncg::core::dynamics::{run_dynamics, DynamicsConfig, MoveRecord, ResponseMode};
+use selfish_ncg::core::{AsymSwapGame, Game, GreedyBuyGame, Move, OracleKind, SwapGame, TieBreak};
 use selfish_ncg::graph::{generators, OwnedGraph};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -64,6 +69,8 @@ enum Family {
     MaxAsg,
     SumGbg,
     MaxGbg,
+    SumSg,
+    MaxSg,
 }
 
 impl Family {
@@ -80,25 +87,31 @@ impl Family {
             Family::MaxAsg => "MAX-ASG",
             Family::SumGbg => "SUM-GBG",
             Family::MaxGbg => "MAX-GBG",
+            Family::SumSg => "SUM-SG",
+            Family::MaxSg => "MAX-SG",
         }
     }
 
-    /// The paper's starts: budget k = 2 for ASG, a random connected
-    /// network with m = 2n edges for GBG (α = n/4, as in the benchmark).
+    /// The paper's starts: budget k = 2 for the swap games, a random
+    /// connected network with m = 2n edges for GBG (α = n/4, as in the
+    /// benchmark).
     fn initial(self, n: usize, rng: &mut StdRng) -> OwnedGraph {
         match self {
-            Family::SumAsg | Family::MaxAsg => generators::budgeted_random(n, 2, rng),
+            Family::SumAsg | Family::MaxAsg | Family::SumSg | Family::MaxSg => {
+                generators::budgeted_random(n, 2, rng)
+            }
             Family::SumGbg | Family::MaxGbg => generators::random_with_m_edges(n, 2 * n, rng),
         }
     }
 
-    fn run(self, n: usize, seed: u64, dirty: bool) -> (usize, u64) {
+    fn run(self, n: usize, seed: u64, dirty: bool, mode: ResponseMode) -> (usize, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = self.initial(n, &mut rng);
         let mut cfg = DynamicsConfig::simulation(40 * n)
             .with_tie_break(TieBreak::Random)
             .with_oracle(OracleKind::Persistent)
-            .with_dirty_agents(dirty);
+            .with_dirty_agents(dirty)
+            .with_response_mode(mode);
         cfg.record_trajectory = true;
         let alpha = n as f64 / 4.0;
         let run = |game: &dyn Game, rng: &mut StdRng| run_dynamics(game, &g, &cfg, rng);
@@ -107,6 +120,8 @@ impl Family {
             Family::MaxAsg => run(&AsymSwapGame::max(), &mut rng),
             Family::SumGbg => run(&GreedyBuyGame::sum(alpha), &mut rng),
             Family::MaxGbg => run(&GreedyBuyGame::max(alpha), &mut rng),
+            Family::SumSg => run(&SwapGame::sum(), &mut rng),
+            Family::MaxSg => run(&SwapGame::max(), &mut rng),
         };
         assert_eq!(out.steps, out.trajectory.len());
         (out.steps, digest(&out.trajectory))
@@ -165,25 +180,87 @@ const PINS: &[(&str, usize, u64, bool, usize, u64)] = &[
     ("MAX-GBG", 96, 3, true, 168, 0x70aea8ef4c960d44),
 ];
 
-fn check(families: &[Family], sizes: &[usize]) {
+/// `(family, n, seed, dirty, steps, digest)` of the modes [`PINS`] leaves
+/// out, recorded before whole removal groups were pruned: best responses of
+/// the symmetric Swap Game, and better responses
+/// ([`ResponseMode::FirstImproving`], rows tagged `better`) of the four
+/// headline families.
+const MODE_PINS: &[(&str, usize, u64, bool, usize, u64)] = &[
+    ("SUM-SG", 48, 1, false, 40, 0x02f8cbcf52ef6b81),
+    ("SUM-SG", 48, 1, true, 40, 0x02f8cbcf52ef6b81),
+    ("SUM-SG", 48, 2, false, 41, 0x9133d3df635882c7),
+    ("SUM-SG", 48, 2, true, 41, 0x9133d3df635882c7),
+    ("SUM-SG", 48, 3, false, 41, 0xa5a3d218cb760ab3),
+    ("SUM-SG", 48, 3, true, 41, 0xa5a3d218cb760ab3),
+    ("SUM-SG", 96, 1, false, 91, 0x091b13504f9c87de),
+    ("SUM-SG", 96, 1, true, 91, 0x091b13504f9c87de),
+    ("SUM-SG", 96, 2, false, 85, 0x7d1b87ce61198ebc),
+    ("SUM-SG", 96, 2, true, 85, 0x7d1b87ce61198ebc),
+    ("SUM-SG", 96, 3, false, 84, 0x98dd9c38d68b63d3),
+    ("SUM-SG", 96, 3, true, 84, 0x98dd9c38d68b63d3),
+    ("MAX-SG", 48, 1, false, 66, 0xefc0419d24ec676a),
+    ("MAX-SG", 48, 1, true, 66, 0xefc0419d24ec676a),
+    ("MAX-SG", 48, 2, false, 72, 0xfa1b1ce2fd2863dc),
+    ("MAX-SG", 48, 2, true, 52, 0x004f01da7b64ecd0),
+    ("MAX-SG", 48, 3, false, 81, 0x5d9cd05230d78c49),
+    ("MAX-SG", 48, 3, true, 82, 0x00f46ddec23520a7),
+    ("MAX-SG", 96, 1, false, 232, 0x48d0b53d8908e29f),
+    ("MAX-SG", 96, 1, true, 221, 0xb34f497731e0cca2),
+    ("MAX-SG", 96, 2, false, 186, 0xe3cafe76fabd2d1e),
+    ("MAX-SG", 96, 2, true, 186, 0x56ff2b027cb0176e),
+    ("MAX-SG", 96, 3, false, 168, 0x4aa8354887d369af),
+    ("MAX-SG", 96, 3, true, 168, 0xc2b3e0872a0064ef),
+    ("better SUM-ASG", 48, 1, false, 166, 0x58f84c3feec7b43c),
+    ("better SUM-ASG", 48, 1, true, 166, 0x58f84c3feec7b43c),
+    ("better SUM-ASG", 48, 2, false, 152, 0x9d7edca2c254950c),
+    ("better SUM-ASG", 48, 2, true, 152, 0x9d7edca2c254950c),
+    ("better SUM-ASG", 48, 3, false, 187, 0xa363e77df2f80145),
+    ("better SUM-ASG", 48, 3, true, 187, 0xa363e77df2f80145),
+    ("better MAX-ASG", 48, 1, false, 79, 0x8ffa4a66cf94021e),
+    ("better MAX-ASG", 48, 1, true, 80, 0x61701ba36ff23f81),
+    ("better MAX-ASG", 48, 2, false, 37, 0x99dd31d842eabf03),
+    ("better MAX-ASG", 48, 2, true, 37, 0x99dd31d842eabf03),
+    ("better MAX-ASG", 48, 3, false, 76, 0x82d3feca0e75ff6a),
+    ("better MAX-ASG", 48, 3, true, 79, 0xd9bd46a60e658610),
+    ("better SUM-GBG", 48, 1, false, 275, 0x396d45cd0edbb50c),
+    ("better SUM-GBG", 48, 1, true, 275, 0x396d45cd0edbb50c),
+    ("better SUM-GBG", 48, 2, false, 313, 0x673c086c6560a720),
+    ("better SUM-GBG", 48, 2, true, 313, 0x673c086c6560a720),
+    ("better SUM-GBG", 48, 3, false, 257, 0xd8f492c9888952ef),
+    ("better SUM-GBG", 48, 3, true, 257, 0xd8f492c9888952ef),
+    ("better MAX-GBG", 48, 1, false, 175, 0x84ecea72bdec5a27),
+    ("better MAX-GBG", 48, 1, true, 175, 0x84ecea72bdec5a27),
+    ("better MAX-GBG", 48, 2, false, 227, 0x5166187fde87e9b0),
+    ("better MAX-GBG", 48, 2, true, 227, 0x5166187fde87e9b0),
+    ("better MAX-GBG", 48, 3, false, 180, 0x57ac09fa0f9c4490),
+    ("better MAX-GBG", 48, 3, true, 180, 0x57ac09fa0f9c4490),
+];
+
+/// Runs every configuration of `families` × `sizes` × seeds 1–3 × {eager,
+/// dirty} under `mode` and compares it with its row of `pins`; `tag`
+/// (empty for best responses) prefixes the family label in the table.
+fn check_table(
+    families: &[Family],
+    sizes: &[usize],
+    mode: ResponseMode,
+    tag: &str,
+    pins: &[(&str, usize, u64, bool, usize, u64)],
+) {
     let mut mismatches = Vec::new();
     for &family in families {
+        let label = format!("{tag}{}", family.label());
         for &n in sizes {
             for seed in [1u64, 2, 3] {
                 for dirty in [false, true] {
-                    let (steps, d) = family.run(n, seed, dirty);
-                    println!(
-                        "    (\"{}\", {n}, {seed}, {dirty}, {steps}, 0x{d:016x}),",
-                        family.label()
-                    );
-                    let pin = PINS
+                    let (steps, d) = family.run(n, seed, dirty, mode);
+                    println!("    (\"{label}\", {n}, {seed}, {dirty}, {steps}, 0x{d:016x}),");
+                    let pin = pins
                         .iter()
-                        .find(|p| p.0 == family.label() && p.1 == n && p.2 == seed && p.3 == dirty);
+                        .find(|p| p.0 == label && p.1 == n && p.2 == seed && p.3 == dirty);
                     match pin {
                         Some(&(_, _, _, _, s, pd)) if s == steps && pd == d => {}
                         _ => mismatches.push(format!(
-                            "{} n={n} seed={seed} dirty={dirty}: {steps} steps, 0x{d:016x}, pinned {pin:?}",
-                            family.label()
+                            "{label} n={n} seed={seed} dirty={dirty}: {steps} steps, 0x{d:016x}, pinned {pin:?}"
                         )),
                     }
                 }
@@ -197,6 +274,10 @@ fn check(families: &[Family], sizes: &[usize]) {
     );
 }
 
+fn check(families: &[Family], sizes: &[usize]) {
+    check_table(families, sizes, ResponseMode::BestResponse, "", PINS);
+}
+
 #[test]
 fn asg_trajectories_match_the_pins() {
     check(&Family::ALL[..2], &[48, 96]);
@@ -205,4 +286,26 @@ fn asg_trajectories_match_the_pins() {
 #[test]
 fn gbg_trajectories_match_the_pins() {
     check(&Family::ALL[2..], &[48, 96]);
+}
+
+#[test]
+fn swap_game_trajectories_match_the_pins() {
+    check_table(
+        &[Family::SumSg, Family::MaxSg],
+        &[48, 96],
+        ResponseMode::BestResponse,
+        "",
+        MODE_PINS,
+    );
+}
+
+#[test]
+fn first_improving_trajectories_match_the_pins() {
+    check_table(
+        &Family::ALL,
+        &[48],
+        ResponseMode::FirstImproving,
+        "better ",
+        MODE_PINS,
+    );
 }
